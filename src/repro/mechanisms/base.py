@@ -46,6 +46,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
     Type,
 )
 
@@ -67,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.sanitizer import CausalitySanitizer
     from ..backends.api import Clock, ProcessLike, TimerHandle, Transport
     from ..obs.registry import Histogram, MetricsRegistry
+    from ..topology import Topology
 
 ViewCallback = Callable[[LoadView], None]
 
@@ -218,6 +220,13 @@ class MechanismShared:
     #: of doing a registry lookup, and miss exactly once per key (see
     #: ``Mechanism._resolve_metric_slot``).
     metric_slots: Dict[str, Any] = field(default_factory=dict)
+    #: Neighbor graphs of the bounded-fanout family keyed by
+    #: ``(kind, nprocs, degree, seed)``.  A topology is an immutable, pure
+    #: function of that key, so the first rank to bind builds it and every
+    #: other rank of the run shares the same object (``Mechanism._run_topology``).
+    topologies: Dict[Tuple[str, int, int, int], "Topology"] = field(
+        default_factory=dict
+    )
 
 
 class _RxState:
@@ -330,6 +339,24 @@ class Mechanism(ABC):
             self.shared = shared
         if self.config.failure_detection and self.participates_in_recovery:
             self.detector = FailureDetector(self)
+
+    def _run_topology(
+        self, default_kind: str, build: Callable[..., "Topology"]
+    ) -> "Topology":
+        """Setup path: this run's neighbor graph for my config.
+
+        Built once per run by ``build`` (the calling module's
+        ``build_topology``) and shared through ``MechanismShared``.
+        """
+        cfg = self.config
+        key = (cfg.topology or default_kind, self.nprocs,
+               cfg.topology_degree, cfg.topology_seed)
+        topo = self.shared.topologies.get(key)
+        if topo is None:
+            kind, nprocs, degree, seed = key
+            topo = build(kind, nprocs, degree=degree, seed=seed)
+            self.shared.topologies[key] = topo
+        return topo
 
     def initialize_view(self, loads: Sequence[Load]) -> None:
         """Seed the view with the statically known initial loads.

@@ -85,12 +85,7 @@ class GossipMechanism(Mechanism):
         self, proc: "ProcessLike", shared: Optional["MechanismShared"] = None
     ) -> None:
         super().bind(proc, shared)
-        self._topo = build_topology(
-            self.config.topology or self.DEFAULT_TOPOLOGY,
-            self.nprocs,
-            degree=self.config.topology_degree,
-            seed=self.config.topology_seed,
-        )
+        self._topo = self._run_topology(self.DEFAULT_TOPOLOGY, build_topology)
 
     def _after_initialize(self) -> None:
         for r in range(self.nprocs):

@@ -326,12 +326,11 @@ class SnapshotMechanism(Mechanism):
                     self._send_state(dst, payload)
 
     def _gather_target(self) -> int:
-        members = self._group if self._group is not None else range(self.nprocs)
-        return sum(
-            1
-            for r in members
-            if r != self.rank and r not in self._presumed_dead
-        )
+        """Answers the leader waits for: live members other than itself."""
+        dead = self._presumed_dead
+        if self._group is None:
+            return self.nprocs - 1 - len(dead - {self.rank})
+        return sum(1 for r in self._group if r != self.rank and r not in dead)
 
     def _check_gather_done(self) -> None:
         if self._phase is not _Phase.GATHERING:

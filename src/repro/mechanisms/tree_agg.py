@@ -88,12 +88,7 @@ class TreeAggMechanism(Mechanism):
         self, proc: "ProcessLike", shared: Optional["MechanismShared"] = None
     ) -> None:
         super().bind(proc, shared)
-        self._topo = build_topology(
-            self.config.topology or self.DEFAULT_TOPOLOGY,
-            self.nprocs,
-            degree=self.config.topology_degree,
-            seed=self.config.topology_seed,
-        )
+        self._topo = self._run_topology(self.DEFAULT_TOPOLOGY, build_topology)
         parents, children = self._topo.aggregation_tree(ROOT)
         # Full static tree kept for crash repair: _eff_parent/_eff_children
         # walk it around suspected ranks.

@@ -12,6 +12,7 @@ paper's buffer-size / performance constraints).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -34,7 +35,9 @@ def water_level(levels: np.ndarray, cost_per_row: float, nrows: int,
                 kmax: int) -> float:
     """Water level T such that Σ clamp((T−l)/c, 0, kmax) == nrows.
 
-    Monotone in T ⇒ binary search; exact enough at 1e-9 relative tolerance.
+    Monotone in T ⇒ bisection, at most 80 halvings.  ``filled(lo) < nrows``
+    holds throughout, so once the midpoint rounds onto either end of the
+    bracket no later step can move ``hi``: the search stops there.
     """
     if nrows <= 0:
         return float(levels.min(initial=0.0))
@@ -43,6 +46,8 @@ def water_level(levels: np.ndarray, cost_per_row: float, nrows: int,
     hi = float(levels.max()) + c * nrows + c
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         filled = np.minimum(np.maximum((mid - levels) / c, 0.0), kmax).sum()
         if filled < nrows:
             lo = mid
@@ -84,13 +89,12 @@ def partition_rows(
         )
     T = water_level(levels, cost_per_row, nrows, kmax)
     ideal = np.minimum(np.maximum((T - levels) / cost_per_row, 0.0), kmax)
-    shares = np.floor(ideal).astype(np.int64)
-    shares = np.minimum(shares, kmax)
+    floors = np.floor(ideal)
+    shares: List[int] = floors.astype(np.int64).tolist()
     # Distribute the remainder by largest fractional part, respecting kmax.
-    rem = nrows - int(shares.sum())
+    rem = nrows - sum(shares)
     if rem > 0:
-        frac_order = np.argsort(-(ideal - shares), kind="stable")
-        for idx in frac_order:
+        for idx in np.argsort(-(ideal - floors), kind="stable").tolist():
             if rem == 0:
                 break
             if shares[idx] < kmax:
@@ -105,33 +109,56 @@ def partition_rows(
             i += 1
     elif rem < 0:  # pragma: no cover - floor never overshoots
         raise AssertionError("rounding overshoot")
-    # Enforce kmin: drop undersized shares, feeding their rows to the
-    # least-loaded candidates that still have kmax headroom.
-    for _ in range(ncand):
-        small = [i for i in range(ncand) if 0 < shares[i] < kmin]
+    _enforce_kmin(levels.tolist(), cost_per_row, shares, kmin, kmax)
+    assert sum(shares) == nrows
+    return shares
+
+
+def _enforce_kmin(levels: List[float], cost_per_row: float, shares: List[int],
+                  kmin: int, kmax: int) -> None:
+    """Drop undersized shares, feeding their rows to the least-loaded
+    candidates that still have kmax headroom (in place, at most one round
+    per candidate).
+
+    Each round zeroes the smallest share under kmin (lowest index on ties)
+    and hands its rows out in order of ``level + cost·share``, ties by
+    index.  Rows no candidate can take go back to it and end the pass.  A
+    giver holds fewer than kmin rows, so an empty candidate can never take
+    them: only candidates with 0 < share < kmax can receive.  ``open_``
+    keeps exactly those as sorted ``(key, index)`` pairs, and a round
+    re-inserts only the entries whose share it moved.
+    """
+    small = sorted((s, i) for i, s in enumerate(shares) if 0 < s < kmin)
+    if not small:
+        return
+    c = float(cost_per_row)
+    open_ = sorted((levels[j] + c * s, j) for j, s in enumerate(shares)
+                   if 0 < s < kmax)
+    for _ in range(len(shares)):
         if not small:
-            break
-        i = min(small, key=lambda j: shares[j])
-        give = int(shares[i])
+            return
+        give, i = small.pop(0)
         shares[i] = 0
-        order = np.argsort(levels + cost_per_row * shares, kind="stable")
-        for j in order:
-            if give == 0:
-                break
-            if j == i or shares[j] == 0 and give < kmin:
-                continue
-            room = kmax - int(shares[j])
-            if room <= 0:
-                continue
-            take = min(room, give)
-            # keep receiving shares >= kmin
-            if shares[j] == 0 and take < kmin:
-                continue
+        del open_[bisect_left(open_, (levels[i] + c * give, i))]
+        moved = 0
+        for _key, j in open_:
+            take = min(kmax - shares[j], give)
+            if shares[j] < kmin:
+                # A receiver can only leave the undersized list, never join.
+                del small[bisect_left(small, (shares[j], j))]
+                if shares[j] + take < kmin:
+                    insort(small, (shares[j] + take, j))
             shares[j] += take
             give -= take
+            moved += 1
+            if give == 0:
+                break
         if give > 0:
             # Could not respect kmin strictly: give back to i (relaxation).
             shares[i] = give
-            break
-    assert int(shares.sum()) == nrows
-    return [int(s) for s in shares]
+            return
+        receivers = open_[:moved]
+        del open_[:moved]
+        for _key, j in receivers:
+            if shares[j] < kmax:
+                insort(open_, (levels[j] + c * shares[j], j))

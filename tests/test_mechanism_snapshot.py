@@ -292,3 +292,25 @@ class TestSnapshotStats:
         assert st.union_time > 0
         assert len(st.per_snapshot_durations) == 2
         assert st.concurrent_now == 0
+
+
+class TestGatherTarget:
+    """The leader waits for one answer per live member other than itself."""
+
+    @pytest.mark.parametrize("dead", [set(), {0, 4}, {0, 2, 4}, {1, 2, 3, 4, 5}])
+    def test_all_ranks_group_matches_explicit_group(self, dead):
+        _, _, procs, _ = snp_world(6)
+        mech = procs[2].mechanism
+        mech._presumed_dead = set(dead)
+        mech._group = None
+        implicit = mech._gather_target()
+        mech._group = list(range(6))
+        assert implicit == mech._gather_target()
+        assert implicit == len({0, 1, 3, 4, 5} - dead)
+
+    def test_explicit_subgroup_counts_only_its_live_members(self):
+        _, _, procs, _ = snp_world(6)
+        mech = procs[2].mechanism
+        mech._presumed_dead = {0, 4}
+        mech._group = [0, 2, 3, 5]
+        assert mech._gather_target() == 2

@@ -1,7 +1,13 @@
 """Tests for repro.topology: seeded neighbor-graph construction."""
 
+import importlib
+
 import pytest
 
+from repro import run_factorization
+from repro.matrices import generators as gen
+from repro.solver import driver
+from repro.symbolic import analyze_matrix
 from repro.topology import (
     Topology,
     build_topology,
@@ -137,3 +143,51 @@ class TestValidation:
     def test_bad_nprocs_rejected(self):
         with pytest.raises(ValueError, match="nprocs"):
             build_topology("ring", 0)
+
+
+class TestOneTopologyPerRun:
+    """Every rank of a run shares one graph, built once through the
+    mechanism module's own ``build_topology``."""
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        return analyze_matrix(gen.grid_laplacian((8, 8, 2)), name="topogrid")
+
+    @staticmethod
+    def _run(tree, mechanism, monkeypatch):
+        module = importlib.import_module(f"repro.mechanisms.{mechanism}")
+        builds = []
+        original = module.build_topology
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        mechs = []
+        create = driver.create_mechanism
+
+        def recording(*args, **kwargs):
+            mechs.append(create(*args, **kwargs))
+            return mechs[-1]
+
+        monkeypatch.setattr(module, "build_topology", counting)
+        monkeypatch.setattr(driver, "create_mechanism", recording)
+        run_factorization(tree, 8, mechanism=mechanism)
+        monkeypatch.undo()
+        return mechs, builds
+
+    @pytest.mark.parametrize("mechanism", ["gossip", "neighborhood", "tree_agg"])
+    def test_one_build_shared_by_every_rank(self, tree, mechanism, monkeypatch):
+        mechs, builds = self._run(tree, mechanism, monkeypatch)
+        assert len(mechs) == 8
+        assert len(builds) == 1
+        assert all(m._topo is mechs[0]._topo for m in mechs)
+        assert mechs[0]._topo.nprocs == 8
+
+    @pytest.mark.parametrize("mechanism", ["gossip", "neighborhood", "tree_agg"])
+    def test_separate_runs_do_not_share(self, tree, mechanism, monkeypatch):
+        first, _ = self._run(tree, mechanism, monkeypatch)
+        second, builds = self._run(tree, mechanism, monkeypatch)
+        assert len(builds) == 1
+        assert first[0]._topo is not second[0]._topo
+        assert first[0]._topo.edges == second[0]._topo.edges
