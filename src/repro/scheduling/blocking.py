@@ -117,8 +117,7 @@ def partition_rows(
 def _enforce_kmin(levels: List[float], cost_per_row: float, shares: List[int],
                   kmin: int, kmax: int) -> None:
     """Drop undersized shares, feeding their rows to the least-loaded
-    candidates that still have kmax headroom (in place, at most one round
-    per candidate).
+    candidates that still have kmax headroom (in place).
 
     Each round zeroes the smallest share under kmin (lowest index on ties)
     and hands its rows out in order of ``level + cost·share``, ties by
@@ -126,7 +125,8 @@ def _enforce_kmin(levels: List[float], cost_per_row: float, shares: List[int],
     giver holds fewer than kmin rows, so an empty candidate can never take
     them: only candidates with 0 < share < kmax can receive.  ``open_``
     keeps exactly those as sorted ``(key, index)`` pairs, and a round
-    re-inserts only the entries whose share it moved.
+    re-inserts only the entries whose share it moved.  Receiving never
+    makes a share undersized, so each round shrinks ``small`` by one.
     """
     small = sorted((s, i) for i, s in enumerate(shares) if 0 < s < kmin)
     if not small:
@@ -134,9 +134,7 @@ def _enforce_kmin(levels: List[float], cost_per_row: float, shares: List[int],
     c = float(cost_per_row)
     open_ = sorted((levels[j] + c * s, j) for j, s in enumerate(shares)
                    if 0 < s < kmax)
-    for _ in range(len(shares)):
-        if not small:
-            return
+    while small:
         give, i = small.pop(0)
         shares[i] = 0
         del open_[bisect_left(open_, (levels[i] + c * give, i))]
