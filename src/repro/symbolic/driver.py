@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
 import scipy.sparse as sp
 
 from ..matrices.collection import Problem
@@ -54,7 +55,12 @@ def analyze_matrix(
     post = postorder(parent)
     perm2 = perm[post]
     Bp2 = permute_symmetric(B, perm2)
-    parent2 = elimination_tree(Bp2)
+    # A postorder is an equivalent reordering: the etree of Bp2 is the
+    # same tree with its nodes renumbered by postorder position.
+    ipost = np.empty_like(post)
+    ipost[post] = np.arange(len(post))
+    up = parent[post]
+    parent2 = np.where(up >= 0, ipost[up], -1)
     cc = column_counts(Bp2, parent2)
     snodes = fundamental_supernodes(parent2, cc)
     snodes = relaxed_amalgamation(

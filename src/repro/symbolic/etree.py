@@ -1,17 +1,21 @@
 """Elimination tree, postorder, and column counts.
 
 Classic symbolic-factorization machinery (Liu's elimination-tree algorithm
-with path compression, iterative postorder, row-subtree column counting).
+with path compression, iterative postorder, column counts by merging each
+child's column structure into its parent).
 Everything operates on the *permuted* symmetric pattern: entry ``(j, k)``
 with ``k < j`` means variables j and k interact before j's elimination.
 
-Complexities: etree O(nnz·α), postorder O(n), column counts O(nnz(L)) via
-row-subtree traversal — fine at the reproduction's matrix scales.
+Complexities: etree O(nnz·α) Python steps over plain lists; postorder
+O(n); column counts O(n) Python steps, each a NumPy merge, so
+O(nnz(L) log) array work in total — a child's rows are carried into its
+parent once, and the row-subtree walk this replaces took O(nnz(L))
+Python steps.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,12 +29,11 @@ def elimination_tree(A_perm: sp.csr_matrix) -> np.ndarray:
     """
     A = A_perm.tocsr()
     n = A.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
+    parent = [-1] * n
+    ancestor = [-1] * n
+    indptr, indices = A.indptr.tolist(), memoryview(A.indices)
     for j in range(n):
-        for t in range(indptr[j], indptr[j + 1]):
-            k = indices[t]
+        for k in indices[indptr[j]: indptr[j + 1]]:
             if k >= j:
                 continue
             # climb from k to the current root, compressing the path to j
@@ -43,7 +46,7 @@ def elimination_tree(A_perm: sp.csr_matrix) -> np.ndarray:
                     parent[k] = j
                     break
                 k = a
-    return parent
+    return np.array(parent, dtype=np.int64)
 
 
 def children_lists(parent: np.ndarray) -> List[List[int]]:
@@ -80,31 +83,34 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return post
 
 
-def column_counts(A_perm: sp.csr_matrix, parent: np.ndarray) -> np.ndarray:
+def column_counts(A_perm: sp.spmatrix, parent: np.ndarray) -> np.ndarray:
     """``cc[j]`` = number of nonzeros in column j of the Cholesky factor L
-    (diagonal included), by row-subtree traversal.
+    (diagonal included), by merging children's column structures.
 
-    For each row i, the columns j < i with L[i, j] ≠ 0 form the "row
-    subtree": the union of etree paths from each k (with A[i, k] ≠ 0, k < i)
-    up toward i.  Walking those paths with a per-row marker visits each
-    L-entry exactly once.
+    For j ascending, the rows below the diagonal of L[:, j] are those of
+    column j of ``tril(A, -1)`` joined with every child's rows greater
+    than j.  This is the row-subtree definition (row i of L is the union
+    of etree paths from each k with A[i, k] ≠ 0, k < i, up toward i) for
+    any forest with ``parent[j] > j``, unsymmetric patterns included.  A
+    child's structure is dropped once merged, so only the structures of
+    not-yet-merged subtrees are alive at any time.
     """
-    A = A_perm.tocsr()
+    A = A_perm.tocsc()
     n = A.shape[0]
     cc = np.ones(n, dtype=np.int64)  # diagonal entries
-    mark = np.full(n, -1, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
-    for i in range(n):
-        mark[i] = i
-        for t in range(indptr[i], indptr[i + 1]):
-            k = indices[t]
-            if k >= i:
-                continue
-            j = k
-            while j != -1 and j < i and mark[j] != i:
-                cc[j] += 1
-                mark[j] = i
-                j = parent[j]
+    indptr, indices = A.indptr.tolist(), A.indices
+    children = children_lists(parent)
+    struct: List[Optional[np.ndarray]] = [None] * n
+    for j in range(n):
+        rows = indices[indptr[j]: indptr[j + 1]]
+        parts = [rows[rows > j]]
+        for c in children[j]:
+            s = struct[c]
+            struct[c] = None
+            parts.append(s[s > j])
+        s = np.unique(np.concatenate(parts)) if len(parts) > 1 else np.unique(parts[0])
+        struct[j] = s
+        cc[j] += len(s)
     return cc
 
 

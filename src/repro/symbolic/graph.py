@@ -4,7 +4,9 @@ The multifrontal analysis works on the *symmetrized* pattern of the matrix
 (MUMPS factorizes unsymmetric matrices on the structure of ``A + Aᵀ``).
 This module converts SciPy sparse matrices into the compact CSR adjacency
 (indptr/indices, no diagonal) used by the ordering and elimination-tree
-code, which is deliberately NumPy-vectorized where it matters.
+code.  Building it and permuting a matrix are NumPy/SciPy work,
+O(nnz log nnz); :meth:`Adjacency.edges_from` gathers a vertex subset's
+edges in O(edges) array work with no Python loop.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ class Adjacency:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def edges_from(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u, w)`` arrays of every edge ``u → w`` with ``u`` in
+        ``vertices``, grouped by ``u`` in the order of ``vertices``."""
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        u = np.repeat(vertices, counts)
+        # each edge's offset from its vertex's first edge
+        within = np.arange(len(u)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return u, self.indices[np.repeat(starts, counts) + within]
 
 
 def symmetrize_pattern(A: sp.spmatrix) -> sp.csr_matrix:
@@ -70,40 +82,12 @@ def permute_symmetric(A: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
     new order = old labels listed in elimination order).
     """
     n = A.shape[0]
-    if sorted(perm) != list(range(n)):
+    perm = np.asarray(perm)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError("perm is not a permutation")
     P = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), np.asarray(perm))), shape=(n, n)
+        (np.ones(n), (np.arange(n), perm)), shape=(n, n)
     )
     M = (P @ A @ P.T).tocsr()
     M.sort_indices()
     return M
-
-
-def connected_components_subset(
-    adj: Adjacency, vertices: np.ndarray
-) -> Tuple[np.ndarray, int]:
-    """Connected components of the subgraph induced by ``vertices``.
-
-    Returns ``(labels, ncomp)`` where ``labels`` follows the order of
-    ``vertices``.  BFS with an int marker array — O(V + E) of the subgraph.
-    """
-    n = adj.n
-    inset = np.full(n, -1, dtype=np.int64)
-    inset[vertices] = np.arange(len(vertices))
-    labels = np.full(len(vertices), -1, dtype=np.int64)
-    ncomp = 0
-    for start_pos in range(len(vertices)):
-        if labels[start_pos] != -1:
-            continue
-        stack = [int(vertices[start_pos])]
-        labels[start_pos] = ncomp
-        while stack:
-            v = stack.pop()
-            for w in adj.neighbors(v):
-                pos = inset[w]
-                if pos >= 0 and labels[pos] == -1:
-                    labels[pos] = ncomp
-                    stack.append(int(w))
-        ncomp += 1
-    return labels, ncomp

@@ -16,6 +16,12 @@ offline, so we implement:
 All functions return ``perm`` with the convention of
 :func:`repro.symbolic.graph.permute_symmetric`: ``perm[k]`` is the original
 label of the k-th eliminated variable.
+
+Cost of :func:`nested_dissection`: each level-set split is O(V + E) of its
+subgraph — the BFS walks Python ints (a list indptr and a memoryview of
+the indices, no per-vertex arrays), and separator thinning and the
+spectral cut boundary are single NumPy passes over edge arrays.  The
+Fiedler vectors (LOBPCG) are most of the remaining time.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee as _rcm
 
-from .graph import Adjacency, adjacency_from_matrix, symmetrize_pattern
+from .graph import adjacency_from_matrix, symmetrize_pattern
 
 
 def natural(A: sp.spmatrix) -> np.ndarray:
@@ -36,52 +42,53 @@ def natural(A: sp.spmatrix) -> np.ndarray:
 
 def reverse_cuthill_mckee(A: sp.spmatrix) -> np.ndarray:
     """Reverse Cuthill–McKee ordering of the symmetrized pattern."""
-    from .graph import symmetrize_pattern
-
     return np.asarray(_rcm(symmetrize_pattern(A), symmetric_mode=True),
                       dtype=np.int64)
 
 
-def _bfs_levels(adj: Adjacency, start: int, inset: np.ndarray,
-                level: np.ndarray) -> List[np.ndarray]:
+def _bfs_levels(ptr: List[int], nbrs: memoryview, start: int,
+                inset: np.ndarray, level: np.ndarray) -> List[np.ndarray]:
     """Level structure of the subgraph marked by ``inset`` from ``start``.
 
-    ``level`` is a scratch array (reset for touched vertices on entry by the
-    caller via fill value -1 restricted to the subset).
+    ``ptr``/``nbrs`` are the adjacency's indptr as a list and its indices
+    as a memoryview, so the walk touches only Python ints.  Vertices of
+    ``inset`` whose ``level`` is already set count as visited; every
+    vertex reached gets its depth written into ``level``.
     """
-    levels = [np.array([start], dtype=np.int64)]
+    unseen = set(np.flatnonzero(inset & (level == -1)).tolist())
+    unseen.discard(start)
     level[start] = 0
+    levels = [np.array([start], dtype=np.int64)]
     frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
+    while True:
         nxt = []
         for v in frontier:
-            for w in adj.neighbors(v):
-                if inset[w] and level[w] == -1:
-                    level[w] = depth
-                    nxt.append(int(w))
-        if nxt:
-            levels.append(np.array(nxt, dtype=np.int64))
+            for w in nbrs[ptr[v]: ptr[v + 1]]:
+                if w in unseen:
+                    unseen.remove(w)
+                    nxt.append(w)
+        if not nxt:
+            return levels
         frontier = nxt
-    return levels
+        lev = np.array(nxt, dtype=np.int64)
+        level[lev] = len(levels)
+        levels.append(lev)
 
 
-def _pseudo_peripheral(adj: Adjacency, vertices: np.ndarray,
-                       inset: np.ndarray, level: np.ndarray) -> int:
+def _pseudo_peripheral(ptr: List[int], nbrs: memoryview, degs: np.ndarray,
+                       vertices: np.ndarray, inset: np.ndarray,
+                       level: np.ndarray) -> int:
     """A vertex of (near) maximal eccentricity in the induced subgraph."""
-    start = int(vertices[np.argmin([adj.degree(int(v)) for v in
-                                    vertices[: min(len(vertices), 64)]])])
+    start = int(vertices[np.argmin(degs[vertices[:64]])])
     best_depth = -1
     for _ in range(4):  # few sweeps converge in practice
         level[vertices] = -1
-        levels = _bfs_levels(adj, start, inset, level)
+        levels = _bfs_levels(ptr, nbrs, start, inset, level)
         if len(levels) <= best_depth:
             break
         best_depth = len(levels)
         last = levels[-1]
-        degs = np.array([adj.degree(int(v)) for v in last])
-        start = int(last[np.argmin(degs)])
+        start = int(last[np.argmin(degs[last])])
     return start
 
 
@@ -125,15 +132,11 @@ def _spectral_split(
     if in_b.all() or (~in_b).all():
         return None
     # vertex separator: boundary of the smaller side of the edge cut
-    indptr, indices = sub.indptr, sub.indices
-    boundary_a = np.zeros(nsub, dtype=bool)
-    boundary_b = np.zeros(nsub, dtype=bool)
-    for u in range(nsub):
-        ub = in_b[u]
-        for t in range(indptr[u], indptr[u + 1]):
-            if in_b[indices[t]] != ub:
-                (boundary_b if ub else boundary_a)[u] = True
-                break
+    rows = np.repeat(np.arange(nsub), np.diff(sub.indptr))
+    on_cut = np.zeros(nsub, dtype=bool)
+    on_cut[rows[in_b[sub.indices] != in_b[rows]]] = True
+    boundary_a = on_cut & ~in_b
+    boundary_b = on_cut & in_b
     if boundary_a.sum() == 0 and boundary_b.sum() == 0:
         return None  # already disconnected along the cut
     use_b = boundary_b.sum() <= boundary_a.sum()
@@ -170,14 +173,16 @@ def nested_dissection(
     inset = np.zeros(n, dtype=bool)
     level = np.full(n, -1, dtype=np.int64)
     is_boundary = np.zeros(n, dtype=bool)
+    ptr = adj.indptr.tolist()
+    nbrs = memoryview(adj.indices)
+    degs = adj.degrees()
     # Work stack of vertex subsets; emitted blocks are written back-to-front,
     # so process order: push children *after* writing separator.
     stack: List[np.ndarray] = [np.arange(n, dtype=np.int64)]
     out_blocks: List[np.ndarray] = []
 
     def order_leaf(vertices: np.ndarray) -> np.ndarray:
-        degs = np.array([adj.degree(int(v)) for v in vertices])
-        return vertices[np.argsort(degs, kind="stable")]
+        return vertices[np.argsort(degs[vertices], kind="stable")]
 
     while stack:
         verts = stack.pop()
@@ -196,9 +201,9 @@ def nested_dissection(
                 continue
         inset[verts] = True
         level[verts] = -1
-        start = _pseudo_peripheral(adj, verts, inset, level)
+        start = _pseudo_peripheral(ptr, nbrs, degs, verts, inset, level)
         level[verts] = -1
-        levels = _bfs_levels(adj, start, inset, level)
+        levels = _bfs_levels(ptr, nbrs, start, inset, level)
         inset[verts] = False
         # The subset may be disconnected (separators split parts into
         # several components): vertices unreached from `start` are handled
@@ -218,18 +223,12 @@ def nested_dissection(
         # counts in one edge pass, then pick the cut minimizing
         # |boundary| weighted by the imbalance of the halves.
         inset[verts] = True
-        for lev in levels[:-1]:
-            for v in lev:
-                lv = level[v]
-                for w in adj.neighbors(int(v)):
-                    if inset[w] and level[w] == lv + 1:
-                        is_boundary[v] = True
-                        break
+        u, w = adj.edges_from(verts)
+        is_boundary[u[inset[w] & (level[w] == level[u] + 1)]] = True
         inset[verts] = False
         sizes = np.array([len(l) for l in levels])
-        bsizes = np.array(
-            [int(is_boundary[l].sum()) for l in levels[:-1]] + [0]
-        )
+        bsizes = np.bincount(level[verts[is_boundary[verts]]],
+                             minlength=len(levels))
         csum = np.cumsum(sizes)
         total = csum[-1]
         best, best_score = None, None

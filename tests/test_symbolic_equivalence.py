@@ -103,7 +103,8 @@ class TestColumnCountsMatchReference:
 
 
 def _package_bfs(adj, start, inset, level):
-    return _bfs_levels(adj, start, inset, level)
+    return _bfs_levels(adj.indptr.tolist(), memoryview(adj.indices), start,
+                       inset, level)
 
 
 class TestBfsLevelsMatchReference:
