@@ -7,10 +7,9 @@ Everything operates on the *permuted* symmetric pattern: entry ``(j, k)``
 with ``k < j`` means variables j and k interact before j's elimination.
 
 Complexities: etree O(nnz·α) Python steps over plain lists; postorder
-O(n); column counts O(n) Python steps, each a NumPy merge, so
-O(nnz(L) log) array work in total — a child's rows are carried into its
-parent once, and the row-subtree walk this replaces took O(nnz(L))
-Python steps.
+O(n); column counts O(n) Python steps, each a NumPy merge, for
+O(nnz(L) log) array work in total (a child's rows are carried into its
+parent once).
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     return post
 
 
-def column_counts(A_perm: sp.spmatrix, parent: np.ndarray) -> np.ndarray:
+def column_counts(A_perm: sp.csr_matrix, parent: np.ndarray) -> np.ndarray:
     """``cc[j]`` = number of nonzeros in column j of the Cholesky factor L
     (diagonal included), by merging children's column structures.
 
@@ -105,12 +104,11 @@ def column_counts(A_perm: sp.spmatrix, parent: np.ndarray) -> np.ndarray:
         rows = indices[indptr[j]: indptr[j + 1]]
         parts = [rows[rows > j]]
         for c in children[j]:
-            s = struct[c]
+            child = struct[c]
             struct[c] = None
-            parts.append(s[s > j])
-        s = np.unique(np.concatenate(parts)) if len(parts) > 1 else np.unique(parts[0])
-        struct[j] = s
-        cc[j] += len(s)
+            parts.append(child[child > j])
+        struct[j] = merged = np.unique(np.concatenate(parts))
+        cc[j] += len(merged)
     return cc
 
 
