@@ -59,8 +59,8 @@ def engine_hot_loop(n_events: int = 200_000, chains: int = 8):
     """Pure engine throughput: self-rescheduling callback chains.
 
     No network, no solver — this isolates EventQueue push/pop plus the
-    ``Simulator.run`` dispatch loop, the code the ``__slots__``/``__lt__``
-    micro-optimizations target.
+    ``Simulator.run`` dispatch loop, the code the slotted ``Event`` and the
+    ``(time, priority, seq, event)`` heap entries target.
     """
     sim = Simulator(max_events=n_events + chains + 1)
     budget = n_events

@@ -152,29 +152,30 @@ class Simulator:
                         raise SimulationDeadlock(self._deadlock_message())
                     self._stop_reason = "drained"
                     break
-                if ev.time > horizon:
+                t = ev.time
+                if t > horizon:
                     # Re-insert the *same* Event object so a handle held by a
                     # caller still cancels the re-queued event; a later run()
                     # then resumes exactly where this one paused.
                     self.queue.reinsert(ev)
                     self.now = horizon
-                    if until is not None and ev.time <= self.max_time:
+                    if until is not None and t <= self.max_time:
                         self._stop_reason = "horizon"
                         break
                     raise SimulationLimitExceeded(
                         f"simulated time limit {self.max_time}s exceeded "
-                        f"(next event at t={ev.time:.6f}, {ev.label!r})"
+                        f"(next event at t={t:.6f}, {ev.label!r})"
                     )
-                assert ev.time >= self.now, "event queue returned an event in the past"
-                self.now = ev.time
+                assert t >= self.now, "event queue returned an event in the past"
+                self.now = t
                 executed += 1
                 if executed > max_events:
                     raise SimulationLimitExceeded(
-                        f"event limit {self.max_events} exceeded at t={self.now:.6f}"
+                        f"event limit {self.max_events} exceeded at t={t:.6f}"
                         + self._deadlock_message()
                     )
                 if trace is not None and ev.label:
-                    trace.record(ev.time, "event", ev.label)
+                    trace.record(t, "event", ev.label)
                 ev.callback()
         finally:
             self.events_executed = executed

@@ -1,6 +1,6 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel is a classic calendar-queue simulator: callbacks scheduled at
+The kernel is a binary-heap event-list simulator: callbacks scheduled at
 simulated timestamps, executed in nondecreasing time order.  Ties are broken
 deterministically by ``(priority, sequence number)`` so that two runs with the
 same seed produce byte-identical traces — determinism is a design requirement
@@ -32,9 +32,13 @@ class Event:
     deterministic total order even among simultaneous same-priority events.
 
     This is the hottest object in the simulator (tens of millions per full
-    run), so it is a ``__slots__`` class with a hand-written ``__lt__``
-    rather than a ``dataclass(order=True)`` — the dataclass comparison
-    builds two tuples per heap sift; the short-circuit below does not.
+    run), so it is a ``__slots__`` class.  The queue does not compare
+    events: its heap holds ``(time, priority, seq, event)`` tuples, which
+    sift with C-level tuple comparisons (``seq`` is unique, so the event
+    itself is never compared).  The event stays the caller's handle for
+    :meth:`cancel`.  ``__lt__`` orders events the same way for the
+    schedule controller (:mod:`repro.simcore.schedule`), which picks among
+    co-enabled events outside the heap.
     """
 
     __slots__ = (
@@ -81,12 +85,17 @@ class Event:
 
 
 class EventQueue:
-    """Binary-heap event queue with lazy deletion and deterministic ties."""
+    """Binary-heap event queue with lazy deletion and deterministic ties.
+
+    Heap entries are ``(time, priority, seq, event)`` tuples; an entry's key
+    is fixed when it is pushed, so an event's ``time`` may only change while
+    it is out of the heap (see :meth:`take`).
+    """
 
     __slots__ = ("_heap", "_counter", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -107,9 +116,10 @@ class EventQueue:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time != time:  # NaN guard
             raise ValueError("event time is NaN")
-        ev = Event(time, priority, next(self._counter), callback, False, label)
+        seq = next(self._counter)
+        ev = Event(time, priority, seq, callback, False, label)
         ev.counted = True
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (time, priority, seq, ev))
         self._live += 1
         return ev
 
@@ -127,7 +137,9 @@ class EventQueue:
         if not event.counted:
             event.counted = True
             self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(
+            self._heap, (event.time, event.priority, event.seq, event)
+        )
         return event
 
     def pop(self) -> Optional[Event]:
@@ -135,7 +147,7 @@ class EventQueue:
         heap = self._heap
         heappop = heapq.heappop
         while heap:
-            ev = heappop(heap)
+            ev = heappop(heap)[3]
             if ev.cancelled:
                 # Events cancelled through Event.cancel() (bypassing the
                 # queue) are still counted; settle the books lazily here.
@@ -151,12 +163,12 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event without removing it."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            ev = heapq.heappop(heap)
+        while heap and heap[0][3].cancelled:
+            ev = heapq.heappop(heap)[3]
             if ev.counted:
                 ev.counted = False
                 self._live -= 1
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     def take(self, event: Event) -> Event:
         """Eagerly remove a specific live event from the queue.
@@ -169,8 +181,14 @@ class EventQueue:
         """
         if event.cancelled or not event.counted:
             raise ValueError(f"cannot take a dead event: {event!r}")
-        self._heap.remove(event)
-        heapq.heapify(self._heap)
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[3] is event:
+                del heap[i]
+                break
+        else:
+            raise ValueError(f"event is not queued: {event!r}")
+        heapq.heapify(heap)
         event.counted = False
         self._live -= 1
         return event
@@ -181,7 +199,10 @@ class EventQueue:
         Used by the schedule controller to enumerate co-enabled choices;
         never called on the uncontrolled hot path.
         """
-        return [ev for ev in self._heap if ev.counted and not ev.cancelled]
+        return [
+            entry[3] for entry in self._heap
+            if entry[3].counted and not entry[3].cancelled
+        ]
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (idempotent).
@@ -197,7 +218,7 @@ class EventQueue:
                 self._live -= 1
 
     def clear(self) -> None:
-        for ev in self._heap:
-            ev.counted = False
+        for entry in self._heap:
+            entry[3].counted = False
         self._heap.clear()
         self._live = 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 from typing import TYPE_CHECKING, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ChannelError
@@ -61,9 +62,15 @@ class Payload:
         return type(self).TYPE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
-    """A payload in flight (or delivered): full routing metadata."""
+    """A payload in flight (or delivered): full routing metadata.
+
+    Handlers must treat an envelope as read-only.  It is a plain slotted
+    class rather than a frozen dataclass because a frozen ``__init__``
+    costs eight ``object.__setattr__`` calls per message; derive a changed
+    copy with :func:`dataclasses.replace` instead of assigning a field.
+    """
 
     src: int
     dst: int
@@ -289,40 +296,56 @@ class Network:
             raise ChannelError(f"self-send from rank {src}")
         if not (0 <= dst < self.nprocs):
             raise ChannelError(f"destination rank {dst} out of range")
+        # Hot path (one call per message): everything is bound to a local
+        # and each step happens once.
+        sim = self.sim
+        config = self.config
+        procs = self._procs
+        link_clock = self._link_clock
         nbytes = payload.nbytes() if size is None else int(size)
-        now = self.sim.now
+        now = sim.now
         if charge_sender:
-            self.proc(src).charge(self.config.send_overhead)
-        arrive = now + self.config.transfer_time(nbytes)
+            sender = procs[src]
+            if sender is None:
+                raise ChannelError(f"no process registered at rank {src}")
+            sender.charge(config.send_overhead)
+        arrive = now + config.transfer_time(nbytes)
         key = (src, dst, channel)
-        arrive = max(arrive, self._link_clock.get(key, 0.0))
-        self._link_clock[key] = arrive
+        clock = link_clock.get(key)
+        if clock is not None and clock > arrive:
+            arrive = clock
+        link_clock[key] = arrive
         self._seq += 1
         env = Envelope(src, dst, channel, payload, nbytes, now, arrive, self._seq)
         self.stats.count(env)
         mon = self._send_monitor
         if mon is not None:
             mon.on_send(env)
-        receiver = self.proc(dst)
-        controller = self.sim.controller
+        receiver = procs[dst]
+        if receiver is None:
+            raise ChannelError(f"no process registered at rank {dst}")
+        label = f"deliver:{payload.type_name}:{src}->{dst}"
+        controller = sim.controller
         if self._injector is not None:
             # The injector decides when (and whether, and how many times)
             # this envelope reaches the receiver.
             for when in self._injector.deliveries(env):
-                ev = self.sim.schedule_at(
+                ev = sim.schedule_at(
                     when,
                     lambda e=env: receiver.deliver(e),
                     priority=PRIORITY_HIGH,
-                    label=f"deliver:{payload.type_name}:{src}->{dst}",
+                    label=label,
                 )
                 if controller is not None:
                     controller.note_delivery(ev, env)
             return env
-        ev = self.sim.schedule_at(
+        # arrive >= now always holds, so the delivery skips schedule_at's
+        # past-time check and goes straight onto the queue.
+        ev = sim.queue.push(
             arrive,
-            lambda: receiver.deliver(env),
+            partial(receiver.deliver, env),
             priority=PRIORITY_HIGH,
-            label=f"deliver:{payload.type_name}:{src}->{dst}",
+            label=label,
         )
         if controller is not None:
             controller.note_delivery(ev, env)
@@ -340,14 +363,17 @@ class Network:
         """Send ``payload`` from ``src`` to every other rank; returns #sends.
 
         Models an MPI point-to-point broadcast loop: the sender pays one send
-        overhead per destination and each link gets its own copy.
+        overhead per destination and each link gets its own copy.  The
+        payload is sized once; each copy still goes through :meth:`send`.
         """
         skip = set(exclude)
         skip.add(src)
+        nbytes = payload.nbytes() if size is None else int(size)
+        send = self.send
         nsent = 0
         for dst in range(self.nprocs):
             if dst in skip:
                 continue
-            self.send(src, dst, channel, payload, size=size)
+            send(src, dst, channel, payload, size=nbytes)
             nsent += 1
         return nsent

@@ -103,6 +103,7 @@ class SimProcess:
         self._pending_charge = 0.0
         self._current: Optional[_RunningTask] = None
         self._dispatch_event: Optional[Event] = None
+        self._dispatch_label = f"dispatch:P{rank}"
         self._poll_event: Optional[Event] = None
         #: Optional passive observer (see :mod:`repro.simcore.monitor`);
         #: notified of message treatments and execution-context windows.
@@ -233,14 +234,19 @@ class SimProcess:
                 # repairs views via gap NACKs / syncs / the rejoin).
                 self._crash_buffer.append(env)
             return
+        current = self._current
         if env.channel is Channel.STATE:
             self.mailbox_state.append(env)
-            if self.threaded and self.computing:
+            if self.threaded and current is not None and not current.paused:
                 self._schedule_poll()
                 return
         else:
             self.mailbox_data.append(env)
-        self._wake()
+        if current is not None and not current.paused:
+            return  # computing: dispatch resumes at task completion
+        now = self.sim.now
+        busy_until = self._busy_until
+        self._schedule_dispatch(busy_until if busy_until > now else now)
 
     def notify_work(self) -> None:
         """Public wake-up: local work became available or a block lifted."""
@@ -257,13 +263,14 @@ class SimProcess:
     def _schedule_dispatch(self, when: float) -> None:
         if self.halted:
             return
-        if self._dispatch_event is not None and not self._dispatch_event.cancelled:
+        pending = self._dispatch_event
+        if pending is not None and not pending.cancelled:
             # keep the earliest scheduled dispatch
-            if self._dispatch_event.time <= when:
+            if pending.time <= when:
                 return
-            self.sim.cancel(self._dispatch_event)
+            self.sim.cancel(pending)
         self._dispatch_event = self.sim.schedule_at(
-            when, self._dispatch, label=f"dispatch:P{self.rank}"
+            when, self._dispatch, label=self._dispatch_label
         )
 
     # ------------------------------------------------------------- dispatch
@@ -333,8 +340,10 @@ class SimProcess:
             self._in_activity = False
             if ctx is not None:
                 ctx.leave_context(self.rank)
-        cost = self.network.config.recv_cost(env.size) + self._take_pending()
-        self._record_treat_span(env, cost)
+        cost = self.network.config.recv_cost(env.size) + self._pending_charge
+        self._pending_charge = 0.0
+        if self.sim.trace is not None:
+            self._record_treat_span(env, cost)
         self.stats_busy_time += cost
         self._busy_until = max(self._busy_until, self.sim.now) + cost
         self._schedule_dispatch(self._busy_until)
@@ -344,11 +353,10 @@ class SimProcess:
 
         The end is stamped ``cost`` in the future (the CPU time the treatment
         occupies); ``to_chrome_trace`` re-sorts, so the out-of-order append is
-        fine.
+        fine.  Callers check that a trace is attached.
         """
         trace = self.sim.trace
-        if trace is None:
-            return
+        assert trace is not None
         name = f"treat:{env.payload.type_name}"
         trace.begin_span(self.sim.now, name, who=self.rank)
         trace.end_span(self.sim.now + cost, name, who=self.rank)
@@ -514,7 +522,8 @@ class SimProcess:
                 if ctx is not None:
                     ctx.leave_context(self.rank)
             cost = self.network.config.recv_cost(env.size) + self._take_pending()
-            self._record_treat_span(env, cost)
+            if self.sim.trace is not None:
+                self._record_treat_span(env, cost)
             if self.computing:
                 self._extend_running_task(cost)
             else:

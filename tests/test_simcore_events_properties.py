@@ -8,6 +8,12 @@ queue's contract regardless of schedule shape:
   events,
 * ``cancel`` is idempotent and skips exactly the cancelled events,
 * ``peek_time`` is read-only: it never changes what pops afterwards.
+
+``take`` and ``reinsert`` (the schedule controller's and the engine's
+horizon pause's entry points) are checked against a sorted-list model of
+the live events: taking one of several tied events, re-queueing a popped
+event in its original ``seq`` slot, time-warping a taken event, and
+peeking past cancelled heads.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -174,3 +180,128 @@ def test_peek_time_never_changes_pop_order(ops):
         seq_a.append((ev.time, ev.priority, ev.seq))
     seq_b = [(ev.time, ev.priority, ev.seq) for ev in iter(b.pop, None)]
     assert seq_a == seq_b
+
+
+# --------------------------------------------------------- take / reinsert
+#
+# Checked against a sorted-list model of the live events.  Times and
+# priorities come from small sets so that equal-(time, priority) ties,
+# which only ``seq`` can break, are the common case.
+
+_tie_time = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_tie_prio = st.sampled_from([0, 10, 20])
+_model_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.tuples(_tie_time, _tie_prio)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("take"), st.integers(0, 200)),
+        st.tuples(st.just("warp"), st.tuples(st.integers(0, 200), _tie_time)),
+        st.tuples(st.just("reinsert"), st.integers(0, 200)),
+        st.tuples(st.just("peek"), st.none()),
+    ),
+    max_size=80,
+)
+
+
+def _key(ev):
+    return (ev.time, ev.priority, ev.seq)
+
+
+@given(_model_ops)
+@settings(max_examples=200, deadline=None)
+def test_take_and_reinsert_match_sorted_model(ops):
+    q = EventQueue()
+    model = []  # live events, kept sorted by (time, priority, seq)
+    out = []  # popped or taken events, eligible for reinsert
+    for op, arg in ops:
+        if op == "push":
+            t, prio = arg
+            model.append(q.push(t, lambda: None, priority=prio))
+        elif op == "pop":
+            ev = q.pop()
+            if not model:
+                assert ev is None
+                continue
+            assert ev is model.pop(0)
+            out.append(ev)
+        elif op == "cancel" and model:
+            q.cancel(model.pop(arg % len(model)))
+        elif op in ("take", "warp") and model:
+            idx = (arg if op == "take" else arg[0]) % len(model)
+            ev = model.pop(idx)
+            assert q.take(ev) is ev
+            if op == "warp":
+                # The schedule controller's time-warp: re-stamp a taken
+                # event, then queue the same object again.
+                ev.time = max(ev.time, arg[1])
+                assert q.reinsert(ev) is ev
+                model.append(ev)
+            else:
+                out.append(ev)
+        elif op == "reinsert" and out:
+            ev = out.pop(arg % len(out))
+            seq = ev.seq
+            assert q.reinsert(ev) is ev
+            assert ev.seq == seq
+            model.append(ev)
+        elif op == "peek":
+            assert q.peek_time() == (model[0].time if model else None)
+        model.sort(key=_key)
+        assert len(q) == len(model)
+        assert sorted(map(_key, q.live_events())) == list(map(_key, model))
+    assert list(iter(q.pop, None)) == model
+    assert len(q) == 0
+
+
+@given(st.integers(2, 12), st.integers(0, 100))
+@settings(max_examples=200, deadline=None)
+def test_take_one_of_equal_events_keeps_the_others_in_seq_order(n, pick):
+    q = EventQueue()
+    # Every event shares one (time, priority): only seq orders them.
+    evs = [q.push(1.0, lambda: None, priority=10) for _ in range(n)]
+    taken = evs[pick % n]
+    q.take(taken)
+    rest = list(iter(q.pop, None))
+    assert rest == [ev for ev in evs if ev is not taken]
+    assert [ev.seq for ev in rest] == sorted(ev.seq for ev in rest)
+
+
+@given(st.lists(st.tuples(_tie_time, _tie_prio), min_size=1, max_size=20),
+       st.integers(0, 20))
+@settings(max_examples=200, deadline=None)
+def test_reinsert_of_popped_event_keeps_its_seq_slot(entries, n_later):
+    q = EventQueue()
+    for t, prio in entries:
+        q.push(t, lambda: None, priority=prio)
+    head = q.pop()
+    # Later pushes at the head's own (time, priority) get larger seqs, so
+    # the reinserted head must still come out before all of them.
+    later = [q.push(head.time, lambda: None, priority=head.priority)
+             for _ in range(n_later)]
+    q.reinsert(head)
+    drained = list(iter(q.pop, None))
+    assert [_key(ev) for ev in drained] == sorted(_key(ev) for ev in drained)
+    assert drained[0] is head
+    assert all(drained.index(head) < drained.index(ev) for ev in later)
+
+
+@given(st.lists(st.tuples(_tie_time, _tie_prio), min_size=1, max_size=20),
+       st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_peek_time_skips_cancelled_heads(entries, n_cancel):
+    q = EventQueue()
+    evs = sorted((q.push(t, lambda: None, priority=p) for t, p in entries),
+                 key=_key)
+    # Cancel the first few heads, half through the queue and half through
+    # the event handle itself (lazy deletion the queue settles later).
+    for i, ev in enumerate(evs[:n_cancel]):
+        if i % 2:
+            ev.cancel()
+        else:
+            q.cancel(ev)
+    live = evs[n_cancel:]
+    assert q.peek_time() == (live[0].time if live else None)
+    assert q.peek_time() == (live[0].time if live else None)
+    assert len(q) == len(live)
+    assert list(iter(q.pop, None)) == live
