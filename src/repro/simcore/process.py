@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
     from .monitor import RunMonitor
     from .network import Network
+    from .trace import TraceRecorder
 
 
 @dataclass
@@ -342,21 +343,22 @@ class SimProcess:
                 ctx.leave_context(self.rank)
         cost = self.network.config.recv_cost(env.size) + self._pending_charge
         self._pending_charge = 0.0
-        if self.sim.trace is not None:
-            self._record_treat_span(env, cost)
+        trace = self.sim.trace
+        if trace is not None:
+            self._record_treat_span(trace, env, cost)
         self.stats_busy_time += cost
         self._busy_until = max(self._busy_until, self.sim.now) + cost
         self._schedule_dispatch(self._busy_until)
 
-    def _record_treat_span(self, env: Envelope, cost: float) -> None:
+    def _record_treat_span(
+        self, trace: "TraceRecorder", env: Envelope, cost: float
+    ) -> None:
         """Trace the treatment of ``env`` as a duration span.
 
         The end is stamped ``cost`` in the future (the CPU time the treatment
         occupies); ``to_chrome_trace`` re-sorts, so the out-of-order append is
-        fine.  Callers check that a trace is attached.
+        fine.
         """
-        trace = self.sim.trace
-        assert trace is not None
         name = f"treat:{env.payload.type_name}"
         trace.begin_span(self.sim.now, name, who=self.rank)
         trace.end_span(self.sim.now + cost, name, who=self.rank)
@@ -522,8 +524,9 @@ class SimProcess:
                 if ctx is not None:
                     ctx.leave_context(self.rank)
             cost = self.network.config.recv_cost(env.size) + self._take_pending()
-            if self.sim.trace is not None:
-                self._record_treat_span(env, cost)
+            trace = self.sim.trace
+            if trace is not None:
+                self._record_treat_span(trace, env, cost)
             if self.computing:
                 self._extend_running_task(cost)
             else:
