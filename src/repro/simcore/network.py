@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import partial
 from typing import TYPE_CHECKING, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from .errors import ChannelError
@@ -343,7 +342,7 @@ class Network:
         # past-time check and goes straight onto the queue.
         ev = sim.queue.push(
             arrive,
-            partial(receiver.deliver, env),
+            lambda: receiver.deliver(env),
             priority=PRIORITY_HIGH,
             label=label,
         )
